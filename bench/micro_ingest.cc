@@ -17,7 +17,8 @@
 // indexed and index-free plans). delta_speedup = qps_delta / qps_fallback
 // is the tentpole metric: what probing base ∪ delta buys over losing the
 // index on every write. Timed region includes session construction, so the
-// delta path pays its own UstDelta build.
+// delta path pays its own UstDelta build: each rep gets a fresh base tree
+// (built outside the timer) whose per-epoch delta memo starts empty.
 //
 // Phase B — *open-loop churn* through the serving tier. A QueryServer runs
 // with the background compactor on (--compact_ms cadence) while a writer
@@ -149,7 +150,8 @@ int main(int argc, char** argv) {
   const size_t seed_objects = db.Snapshot().size();
   // The base tree is built *before* any write lands: from here on it is
   // stale for every new epoch, and staying useful is the delta's job.
-  auto tree = UstTree::Build(db);
+  const DbSnapshot base_snapshot = db.Snapshot();
+  auto tree = UstTree::Build(base_snapshot);
   UST_CHECK(tree.ok());
 
   const TimeInterval T1 = BusiestInterval(db, interval_length);
@@ -248,8 +250,12 @@ int main(int argc, char** argv) {
     options.delta_index = delta_enabled;
     double best = 0.0;
     for (int rep = 0; rep < 3; ++rep) {
+      // A fresh base per rep: the tree memoizes its per-epoch delta, so
+      // reusing one would let reps 2-3 skip the build being measured.
+      auto base = UstTree::Build(base_snapshot);
+      UST_CHECK(base.ok());
       Timer t;
-      QuerySession session(snapshot, &tree.value(), options);
+      QuerySession session(snapshot, &base.value(), options);
       UST_CHECK(session.Prepare().ok());
       const std::vector<QueryOutcome> results = session.RunAll(specs);
       const double seconds = t.Seconds();

@@ -6,6 +6,13 @@
 // bit-identical to a tree rebuilt at the session's epoch — and therefore (by
 // the pruning soundness argument) to the index-free alive-time fallback.
 //
+// A delta is a pure function of (snapshot epoch, base epoch), so it is built
+// once per (base tree, epoch) and shared: UstTree::DeltaTo memoizes the last
+// few epochs' deltas on the base tree, and every QuerySession over that pair
+// holds the same immutable delta. The build's fixed cost (the support graphs
+// of shared transition matrices) is then paid once per write, not once per
+// session.
+//
 // A delta is a flat per-object list, not a tree: compaction (see
 // QueryServer's compaction thread) keeps its depth bounded, so linear probing
 // stays cheap while the base R*-tree carries the bulk of the database.
@@ -38,6 +45,7 @@ class UstDelta {
   /// `base_version`. Requires base_version >= db.delta_floor() (older bases
   /// predate the retained change log; callers drop the index instead).
   /// Fails like a full build would (e.g. contradicting observations).
+  /// Uncached: sessions obtain their shared delta via UstTree::DeltaTo.
   static Result<UstDelta> Build(const DbSnapshot& db, uint64_t base_version);
 
   /// True when `id` was rewritten after the base epoch (its base entries are

@@ -5,8 +5,8 @@
 
 #include "graph/reachability.h"
 #include "index/ust_delta.h"
-
 #include "util/check.h"
+#include "util/trace.h"
 
 namespace ust {
 
@@ -111,6 +111,34 @@ Result<UstTree> UstTree::Build(const DbSnapshot& db,
     }
   }
   return tree;
+}
+
+Result<std::shared_ptr<const UstDelta>> UstTree::DeltaTo(
+    const DbSnapshot& db) const {
+  if (db.version() < built_version() || db.delta_floor() > built_version()) {
+    return Status::InvalidArgument(
+        "no delta from base epoch " + std::to_string(built_version()) +
+        " to epoch " + std::to_string(db.version()));
+  }
+  // A handful of epochs covers every session a lane can still be building
+  // over this base: writes advance the epoch, and older epochs' sessions
+  // are already cached.
+  constexpr size_t kMaxMemoDeltas = 4;
+  std::lock_guard<std::mutex> lock(deltas_->mu);
+  auto& recent = deltas_->recent;
+  for (const auto& [version, delta] : recent) {
+    if (version == db.version()) return delta;
+  }
+  auto delta = [&]() -> Result<std::shared_ptr<const UstDelta>> {
+    UST_TRACE_SCOPE("delta_build", db.version(), "epoch");
+    auto built = UstDelta::Build(db, built_version());
+    if (!built.ok()) return built.status();
+    return std::shared_ptr<const UstDelta>(
+        std::make_shared<UstDelta>(built.MoveValue()));
+  }();
+  if (recent.size() >= kMaxMemoDeltas) recent.erase(recent.begin());
+  recent.emplace_back(db.version(), delta);
+  return delta;
 }
 
 UstTree::TimeSlab UstTree::MakeTimeSlab(const TimeInterval& T) const {

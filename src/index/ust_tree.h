@@ -15,6 +15,9 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "graph/csr_graph.h"
@@ -68,6 +71,17 @@ class UstTree {
   /// a different version may miss objects — callers must not pass this tree
   /// to sessions over other epochs (QuerySession drops a mismatched index).
   uint64_t built_version() const { return db_.version(); }
+
+  /// The UstDelta patching this tree up to `db`'s epoch (empty when `db` is
+  /// this tree's own epoch). A delta is a pure function of (db epoch, base
+  /// epoch), so it is built once per epoch and shared by every caller: the
+  /// tree memoizes the last few epochs' deltas, keyed by db.version(), and
+  /// builds under the memo's lock so callers racing on a fresh epoch wait
+  /// for one build. Failed builds are memoized too. `db` must be a snapshot
+  /// of the database this tree indexes, at an epoch >= built_version() whose
+  /// change log reaches back to it (db.delta_floor() <= built_version());
+  /// otherwise InvalidArgument. Thread-safe.
+  Result<std::shared_ptr<const UstDelta>> DeltaTo(const DbSnapshot& db) const;
 
   /// \brief Reusable index-traversal state for one query time interval: the
   /// segment rectangles overlapping T, grouped per object (sorted by id).
@@ -123,6 +137,16 @@ class UstTree {
   /// Stored WithoutIndex(): a compacted tree must not transitively pin the
   /// base tree (and change log) of the snapshot it was built from.
   DbSnapshot db_;
+
+  /// DeltaTo's memo: the most recent epochs' deltas, oldest first. Behind a
+  /// pointer so the tree stays movable; dies with the tree, so compaction
+  /// publishing a new base retires the old base's deltas with it.
+  struct DeltaMemo {
+    std::mutex mu;
+    std::vector<std::pair<uint64_t, Result<std::shared_ptr<const UstDelta>>>>
+        recent;
+  };
+  std::unique_ptr<DeltaMemo> deltas_ = std::make_unique<DeltaMemo>();
 };
 
 /// \brief Append the segment entries (diamond MBRs, plus the forward cone for

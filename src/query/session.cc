@@ -32,16 +32,11 @@ QuerySession::QuerySession(DbSnapshot db, const UstTree* index,
   // the index rather than serve wrong results (alive-time filtering stays
   // correct) — and make the drop observable.
   if (index_ != nullptr && index_->built_version() != db_.version()) {
-    bool patched = false;
-    if (options_.delta_index && index_->built_version() < db_.version() &&
-        db_.delta_floor() <= index_->built_version()) {
-      auto delta = UstDelta::Build(db_, index_->built_version());
-      if (delta.ok()) {
-        delta_ = delta.MoveValue();
-        patched = true;
-      }
+    if (options_.delta_index) {
+      auto delta = index_->DeltaTo(db_);
+      if (delta.ok()) delta_ = delta.MoveValue();
     }
-    if (!patched) {
+    if (delta_ == nullptr) {
       index_ = nullptr;
       dropped_stale_index_ = true;
       trace::Instant("stale_index_drop", db_.version(), "epoch", "dropped");
@@ -71,10 +66,10 @@ PruneResult QuerySession::Prune(const QueryTrajectory& q, const TimeInterval& T,
                                 int k, bool forall,
                                 const UstTree::TimeSlab* slab) const {
   if (index_ != nullptr) {
-    if (!delta_.empty()) {
-      UST_TRACE_SCOPE("delta_probe", delta_.depth(), "objects");
-      return forall ? index_->PruneForall(q, T, k, slab, &delta_)
-                    : index_->PruneExists(q, T, k, slab, &delta_);
+    if (delta_ != nullptr && !delta_->empty()) {
+      UST_TRACE_SCOPE("delta_probe", delta_->depth(), "objects");
+      return forall ? index_->PruneForall(q, T, k, slab, delta_.get())
+                    : index_->PruneExists(q, T, k, slab, delta_.get());
     }
     return forall ? index_->PruneForall(q, T, k, slab)
                   : index_->PruneExists(q, T, k, slab);

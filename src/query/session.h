@@ -159,10 +159,11 @@ struct SessionOptions {
 /// that epoch, bit-identically, regardless of concurrent writes to the live
 /// database. An `index` built over an *older* epoch is patched with an
 /// UstDelta covering the objects written since (probed alongside the base
-/// tree, bit-identical to a rebuild); when that is impossible — delta layer
-/// disabled, the change log was trimmed past the base, or the delta build
-/// failed — the index is dropped and counted (pruning degenerates to
-/// alive-time filtering, which is always correct).
+/// tree, bit-identical to a rebuild; the tree builds it once per epoch and
+/// shares it across sessions, see UstTree::DeltaTo); when that is
+/// impossible — delta layer disabled, the change log was trimmed past the
+/// base, or the delta build failed — the index is dropped and counted
+/// (pruning degenerates to alive-time filtering, which is always correct).
 ///
 /// Not safe for concurrent external use (one session = one request lane);
 /// internally it parallelizes over its own pool.
@@ -231,7 +232,9 @@ class QuerySession {
   ArenaStats arena_stats() const;
 
   /// Objects the attached delta carries (0 = probing the base alone).
-  size_t delta_depth() const { return delta_.depth(); }
+  size_t delta_depth() const {
+    return delta_ == nullptr ? 0 : delta_->depth();
+  }
 
   /// A stale index was passed at construction and had to be dropped.
   bool dropped_stale_index() const { return dropped_stale_index_; }
@@ -308,9 +311,11 @@ class QuerySession {
 
   DbSnapshot db_;
   const UstTree* index_;
-  /// Patch for a base index older than db_'s epoch; empty when the index is
-  /// current (or absent). Probed by Prune alongside the base tree.
-  UstDelta delta_;
+  /// Patch for a base index older than db_'s epoch; null when the index is
+  /// current (or absent). Probed by Prune alongside the base tree. Built
+  /// once per (base tree, epoch) by UstTree::DeltaTo and shared by every
+  /// session over that pair.
+  std::shared_ptr<const UstDelta> delta_;
   bool dropped_stale_index_ = false;
   SessionOptions options_;
   ThreadPool pool_;

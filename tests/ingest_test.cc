@@ -15,6 +15,7 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -25,6 +26,7 @@
 #include "query/session.h"
 #include "server/query_server.h"
 #include "util/rng.h"
+#include "util/trace.h"
 
 namespace ust {
 namespace {
@@ -403,6 +405,113 @@ TEST_F(IngestTest, UstDeltaBuildRecordsChangedObjectsInIdOrder) {
             db().object(0).first_tic());
   EXPECT_EQ(delta.value().objects()[0].last_tic, end + 3);
   EXPECT_FALSE(delta.value().objects()[0].entries.empty());
+}
+
+TEST_F(IngestTest, DeltaToBuildsOneSharedDeltaPerEpoch) {
+  // The base's own epoch needs no patch: an empty delta.
+  auto own = index_->DeltaTo(db().Snapshot());
+  ASSERT_TRUE(own.ok());
+  EXPECT_TRUE(own.value()->empty());
+
+  const uint64_t v0 = index_->built_version();
+  AddObjectAt(T_.start, T_.end);
+  const DbSnapshot first = db().Snapshot();
+  const DbSnapshot second = db().Snapshot();  // same epoch, another handle
+  auto a = index_->DeltaTo(first);
+  auto b = index_->DeltaTo(second);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(a.value().get(), b.value().get());
+  EXPECT_EQ(a.value()->base_version(), v0);
+  EXPECT_EQ(a.value()->version(), first.version());
+
+  // Sessions over that epoch hold the memoized delta instead of their own.
+  QuerySession session(first, index_.get());
+  EXPECT_FALSE(session.dropped_stale_index());
+  EXPECT_EQ(session.delta_depth(), a.value()->depth());
+  EXPECT_EQ(index_->DeltaTo(first).value().get(), a.value().get());
+
+  // A later epoch gets a new delta, equal to an uncached build.
+  const Tic end = db().object(2).last_tic();
+  ASSERT_TRUE(db().ExtendLifetime(2, end + 5).ok());
+  const DbSnapshot later = db().Snapshot();
+  auto c = index_->DeltaTo(later);
+  ASSERT_TRUE(c.ok());
+  EXPECT_NE(c.value().get(), a.value().get());
+  auto fresh = UstDelta::Build(later, v0);
+  ASSERT_TRUE(fresh.ok());
+  const auto& memo_objects = c.value()->objects();
+  const auto& fresh_objects = fresh.value().objects();
+  ASSERT_EQ(memo_objects.size(), fresh_objects.size());
+  EXPECT_EQ(memo_objects.size(), 2u);
+  for (size_t i = 0; i < memo_objects.size(); ++i) {
+    EXPECT_EQ(memo_objects[i].object, fresh_objects[i].object);
+    EXPECT_EQ(memo_objects[i].first_tic, fresh_objects[i].first_tic);
+    EXPECT_EQ(memo_objects[i].last_tic, fresh_objects[i].last_tic);
+    ASSERT_EQ(memo_objects[i].entries.size(), fresh_objects[i].entries.size());
+    for (size_t j = 0; j < memo_objects[i].entries.size(); ++j) {
+      const UstTree::SegmentEntry& x = memo_objects[i].entries[j];
+      const UstTree::SegmentEntry& y = fresh_objects[i].entries[j];
+      EXPECT_EQ(x.object, y.object);
+      EXPECT_EQ(x.t_lo, y.t_lo);
+      EXPECT_EQ(x.t_hi, y.t_hi);
+      EXPECT_EQ(x.mbr.lo, y.mbr.lo);  // bitwise
+      EXPECT_EQ(x.mbr.hi, y.mbr.hi);
+    }
+  }
+  // The earlier epoch's delta is still served from the memo.
+  EXPECT_EQ(index_->DeltaTo(first).value().get(), a.value().get());
+}
+
+TEST_F(IngestTest, DeltaToRefusesEpochsItCannotPatch) {
+  // A tree built at a later epoch cannot patch an earlier snapshot.
+  const DbSnapshot before = db().Snapshot();
+  AddObjectAt(T_.start, T_.end);
+  auto newer = UstTree::Build(db());
+  ASSERT_TRUE(newer.ok());
+  EXPECT_FALSE(newer.value().DeltaTo(before).ok());
+
+  // Once the change log is trimmed past the old base, its deltas are gone.
+  db().PublishIndex(std::make_shared<const UstTree>(newer.MoveValue()));
+  AddObjectAt(T_.start, T_.end);
+  EXPECT_FALSE(index_->DeltaTo(db().Snapshot()).ok());
+  QuerySession session(db(), index_.get());
+  EXPECT_TRUE(session.dropped_stale_index());
+}
+
+TEST_F(IngestTest, DeltaToRacingThreadsShareOneBuild) {
+  ApplyWrites();
+  const DbSnapshot snapshot = db().Snapshot();
+  trace::Disable();
+  trace::Enable(1 << 10);
+  constexpr int kThreads = 4;
+  std::vector<const UstDelta*> got(kThreads, nullptr);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      auto delta = index_->DeltaTo(snapshot);
+      if (delta.ok()) got[i] = delta.value().get();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  trace::Disable();
+  ASSERT_NE(got[0], nullptr);
+  for (int i = 1; i < kThreads; ++i) EXPECT_EQ(got[i], got[0]);
+  EXPECT_EQ(got[0]->depth(), 3u);  // two inserts + one extension
+
+  // The trace shows the one build, tagged with its epoch.
+  size_t builds = 0;
+  for (const trace::TraceEvent& e : trace::Snapshot()) {
+    if (e.name != nullptr && std::string(e.name) == "delta_build") {
+      ++builds;
+      EXPECT_EQ(e.arg, snapshot.version());
+    }
+  }
+  EXPECT_EQ(builds, 1u);
+  trace::Reset();
 }
 
 }  // namespace
