@@ -8,7 +8,9 @@
 
 #include <cstdio>
 #include <string>
+#include <thread>
 
+#include "util/simd.h"
 #include "util/stats.h"
 
 namespace ust::bench {
@@ -19,6 +21,14 @@ class JsonWriter {
   void Add(const std::string& key, double value) { writer_.Double(key, value); }
   void Add(const std::string& key, const std::string& value) {
     writer_.String(key, value);
+  }
+  /// The hardware shape a run measured (`hw_threads`, `simd`): ratios such
+  /// as lane or steal speedups depend on it, so tools/check_bench.py treats
+  /// a mismatch with the baseline as a config mismatch, not a perf result.
+  void AddHardwareShape() {
+    Add("hw_threads",
+        static_cast<double>(std::thread::hardware_concurrency()));
+    Add("simd", std::string(SimdLevelName(ActiveSimdLevel())));
   }
   /// Nested object: emitted verbatim (caller renders it with another writer).
   void AddObject(const std::string& key, const std::string& rendered) {

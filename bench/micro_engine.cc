@@ -489,6 +489,7 @@ int main(int argc, char** argv) {
 
   bench::JsonWriter json;
   json.Add("benchmark", std::string("micro_engine"));
+  json.AddHardwareShape();
   json.Add("executor", executor);
   json.Add("arena", arena_mode);
   json.Add("adaptive", adaptive_mode);

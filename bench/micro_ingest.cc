@@ -383,6 +383,7 @@ int main(int argc, char** argv) {
 
   bench::JsonWriter json;
   json.Add("benchmark", std::string("micro_ingest"));
+  json.AddHardwareShape();
   json.Add("num_states", static_cast<double>(config.num_states));
   json.Add("num_objects", static_cast<double>(config.num_objects));
   json.Add("num_worlds", static_cast<double>(num_worlds));

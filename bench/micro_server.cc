@@ -283,9 +283,10 @@ int main(int argc, char** argv) {
   // Outcomes must still match bit for bit (probes observe, never steer),
   // and the qps ratio is gated at 10% (tools/check_bench.py). A 10% band
   // needs a measurement tighter than the mixed stream alone can give: at
-  // smoke scale a run is ~10 ms and one flush deadline (~delay_ms) landing
-  // differently swings it by 20%. So the overhead pair runs the mixed
-  // stream repeated 3x (one deadline is noise against ~30 ms), takes
+  // smoke scale a run is ~10 ms, and one batch held for the window (up to
+  // delay_ms, while every lane is busy) or flushed at once (a lane idle)
+  // swings it by 20%. So the overhead pair runs the mixed stream repeated
+  // 3x (one window is noise against ~30 ms), takes
   // best-of-two per side, and interleaves the runs (traced, plain, traced,
   // plain) so process-lifetime drift penalizes both sides equally.
   std::vector<QuerySpec> overhead_specs;
@@ -546,6 +547,7 @@ int main(int argc, char** argv) {
 
   bench::JsonWriter json;
   json.Add("benchmark", std::string("micro_server"));
+  json.AddHardwareShape();
   json.Add("num_states", static_cast<double>(config.num_states));
   json.Add("num_objects", static_cast<double>(config.num_objects));
   json.Add("num_worlds", static_cast<double>(num_worlds));

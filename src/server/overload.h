@@ -52,11 +52,15 @@ struct OverloadOptions {
   double exit_hysteresis = 0.10;
   /// Enter kDegrade / kShed when the queue-delay EWMA (submit-to-flush,
   /// milliseconds) reaches these. Generous defaults: a healthy server
-  /// flushes in ~max_batch_delay_ms, so sustained 100x of that means the
-  /// dispatcher cannot keep up regardless of the in-flight count.
+  /// flushes at once while a lane is idle and within max_batch_delay_ms
+  /// (1 ms by default) while every lane is busy, so a sustained delay of
+  /// hundreds of milliseconds means the dispatcher itself cannot keep up,
+  /// whatever the in-flight count (a backlog behind busy lanes shows in
+  /// the in-flight watermarks above, not here).
   double degrade_queue_ms = 250.0;
   double shed_queue_ms = 1000.0;
-  /// EWMA smoothing factor for the queue-delay signal (per batch flushed).
+  /// EWMA smoothing factor for the queue-delay signal (per request, fed as
+  /// each request leaves the admission queue).
   double queue_ewma_alpha = 0.2;
   /// The server-default precision applied to degradable specs in kDegrade:
   /// stop sampling once the estimate is within +-epsilon at confidence

@@ -60,7 +60,7 @@ void AddHistogramSample(std::vector<MetricSample>* samples, const char* name,
 /// the QueryServer constructor.
 std::vector<MetricSample> SamplesFromFields(const ServerStats& stats) {
   std::vector<MetricSample> samples;
-  samples.reserve(36);
+  samples.reserve(37);
   AddCounterSample(&samples, "submitted", stats.submitted);
   AddCounterSample(&samples, "admitted", stats.admitted);
   AddCounterSample(&samples, "rejected", stats.rejected);
@@ -74,6 +74,7 @@ std::vector<MetricSample> SamplesFromFields(const ServerStats& stats) {
   AddCounterSample(&samples, "batches", stats.batches);
   AddCounterSample(&samples, "flush_full", stats.flush_full);
   AddCounterSample(&samples, "flush_deadline", stats.flush_deadline);
+  AddCounterSample(&samples, "flush_idle", stats.flush_idle);
   AddCounterSample(&samples, "flush_drain", stats.flush_drain);
   AddCounterSample(&samples, "early_stops", stats.early_stops);
   AddCounterSample(&samples, "worlds_saved", stats.worlds_saved);
@@ -215,6 +216,7 @@ QueryServer::QueryServer(const TrajectoryDatabase& db, const UstTree* index,
   c_batches_ = metrics_.NewCounter("batches");
   c_flush_full_ = metrics_.NewCounter("flush_full");
   c_flush_deadline_ = metrics_.NewCounter("flush_deadline");
+  c_flush_idle_ = metrics_.NewCounter("flush_idle");
   c_flush_drain_ = metrics_.NewCounter("flush_drain");
   c_early_stops_ = metrics_.NewCounter("early_stops");
   c_worlds_saved_ = metrics_.NewCounter("worlds_saved");
@@ -405,6 +407,7 @@ ServerStats QueryServer::Stats() const {
   stats.batches = c_batches_->value();
   stats.flush_full = c_flush_full_->value();
   stats.flush_deadline = c_flush_deadline_->value();
+  stats.flush_idle = c_flush_idle_->value();
   stats.flush_drain = c_flush_drain_->value();
   stats.early_stops = c_early_stops_->value();
   stats.worlds_saved = c_worlds_saved_->value();
@@ -439,11 +442,14 @@ void QueryServer::DispatcherLoop() {
       });
       if (queue_.empty() && stopping_) return;
       if (!stopping_) {
-        // Micro-batching window: the batch opened when the first spec was
-        // seen; hold it open until it fills or the deadline passes. Late
-        // submits keep landing in queue_ and are picked up by the drain.
+        // Work-conserving micro-batching: a batch is held open only while
+        // every lane is busy — then waiting costs nothing and lets later
+        // submits coalesce — and at most `delay` after it opened. A parked
+        // lane flushes it at once (lanes notify cv_ when they park over a
+        // non-empty queue). Late submits keep landing in queue_.
         const auto deadline = std::chrono::steady_clock::now() + delay;
-        while (!stopping_ && queue_.size() < options_.max_batch_size) {
+        while (!stopping_ && idle_lanes_ == 0 &&
+               queue_.size() < options_.max_batch_size) {
           if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
             break;
           }
@@ -462,6 +468,9 @@ void QueryServer::DispatcherLoop() {
       } else if (n >= options_.max_batch_size) {
         flush_counter = c_flush_full_;
         flush_tag = "full";
+      } else if (idle_lanes_ > 0) {
+        flush_counter = c_flush_idle_;
+        flush_tag = "idle";
       } else {
         flush_counter = c_flush_deadline_;
         flush_tag = "deadline";
@@ -671,7 +680,11 @@ void QueryServer::LaneLoop(int lane) {
         // bracket only the wait (both under mu_, so the tally is exact and
         // race-free).
         const auto idle_start = std::chrono::steady_clock::now();
+        // A parked lane is what lets the dispatcher flush a held batch.
+        ++idle_lanes_;
+        if (!queue_.empty()) cv_.notify_one();
         lane_cv_.wait(lock);
+        --idle_lanes_;
         lane_stats_[static_cast<size_t>(lane)].idle_micros +=
             static_cast<uint64_t>(
                 std::chrono::duration<double, std::micro>(

@@ -1,6 +1,6 @@
 // The serving tier's front-end (DESIGN.md section 5): many client threads
 // submit single QuerySpecs; a dispatcher thread coalesces them into
-// micro-batches under a latency deadline; a fixed pool of *execution lanes*
+// micro-batches while every lane is busy; a fixed pool of *execution lanes*
 // runs the batches through the epoch-keyed SessionCache on the PR 2 session
 // pipeline.
 //
@@ -9,15 +9,17 @@
 //     rejected immediately with kResourceLimit (backpressure, never
 //     blocking).
 //   dispatcher
-//     flushes a batch when it holds max_batch_size specs or
-//     max_batch_delay_ms elapsed since the batch opened, pins the database
-//     epoch for the whole batch (db->Snapshot()), groups specs by query
-//     interval — and *publishes* each group as a deque of fixed-size
-//     spec-range morsels (`morsel_specs` specs each, results committed into
-//     pre-sized per-spec slots), returning to the admission window
-//     immediately. Flush cadence is therefore independent of batch
-//     execution time: one oversized batch can no longer stall the deadline
-//     of the batches behind it.
+//     work-conserving micro-batching: flushes a batch at once when some lane
+//     is parked with nothing to run, and holds it open only while every lane
+//     is busy — until it holds max_batch_size specs or max_batch_delay_ms
+//     elapsed since it opened. So batching happens only under load, where
+//     the wait costs nothing. Each flush pins the database epoch for the
+//     whole batch (db->Snapshot()), groups specs by query interval — and
+//     *publishes* each group as a deque of fixed-size spec-range morsels
+//     (`morsel_specs` specs each, results committed into pre-sized per-spec
+//     slots), returning to the admission window immediately. Flush cadence
+//     is therefore independent of batch execution time: one oversized batch
+//     can no longer stall the flush of the batches behind it.
 //   lanes (options.lanes threads) — the morsel scheduler (DESIGN.md §5.6)
 //     a lane adopts the oldest unadopted group (checking its session out of
 //     the SessionCache as a *shared*, refcounted lease) and pops morsels
@@ -78,9 +80,10 @@ struct ServerOptions {
   /// restores the PR 4 group-granularity scheduler (the bench baseline the
   /// --skew workload is measured against).
   bool steal = true;
-  /// Flush a micro-batch at this many specs...
+  /// Flush a micro-batch at this many specs.
   size_t max_batch_size = 64;
-  /// ...or this many milliseconds after it opened, whichever first.
+  /// The longest a batch is held while every lane is busy, in milliseconds.
+  /// A batch never waits while some lane is parked: it flushes at once.
   double max_batch_delay_ms = 1.0;
   /// Admission bound on *in-flight* requests (admitted, not yet completed —
   /// queued, staged for a lane, or executing). Submits beyond it are
@@ -175,9 +178,12 @@ struct ServerStats {
   /// Gauge: OverloadRegime at the last admission (0 normal / 1 degrade /
   /// 2 shed).
   size_t overload_regime = 0;
-  uint64_t batches = 0;    ///< micro-batches dispatched
+  /// Micro-batches dispatched: flush_full + flush_deadline + flush_idle +
+  /// flush_drain, each batch counted under exactly one reason.
+  uint64_t batches = 0;
   uint64_t flush_full = 0;      ///< flushed because the batch filled
-  uint64_t flush_deadline = 0;  ///< flushed by the latency deadline
+  uint64_t flush_deadline = 0;  ///< held the whole window, lanes all busy
+  uint64_t flush_idle = 0;      ///< flushed because a lane was parked
   uint64_t flush_drain = 0;     ///< flushed by shutdown drain
   size_t lane_queue_depth = 0;  ///< gauge: groups awaiting adoption right now
   size_t lane_queue_peak = 0;   ///< high-water mark of that queue
@@ -357,6 +363,9 @@ class QueryServer {
   bool paused_ = false;
   uint64_t in_flight_ = 0;         ///< admitted, not yet completed
   uint64_t next_request_id_ = 0;   ///< guarded by mu_
+  /// Lanes parked on lane_cv_ with nothing claimable; guarded by mu_. While
+  /// it is nonzero the dispatcher holds no batch.
+  int idle_lanes_ = 0;
   std::vector<LaneStats> lane_stats_;  ///< guarded by mu_
   /// Regime state machine (DESIGN.md section 11); guarded by mu_ — Submit
   /// feeds it utilization, the dispatcher feeds it queue delays.
@@ -380,6 +389,7 @@ class QueryServer {
   Counter* c_batches_;
   Counter* c_flush_full_;
   Counter* c_flush_deadline_;
+  Counter* c_flush_idle_;
   Counter* c_flush_drain_;
   Counter* c_early_stops_;
   Counter* c_worlds_saved_;

@@ -504,12 +504,16 @@ TEST_F(ServerTest, OversizedBatchDoesNotStallSmallBatchFlush) {
   // that flushed a batch also executed it, so one oversized batch blocked
   // the admission window and every batch behind it until it finished. With
   // execution lanes, the flush cadence is independent of execution time:
-  // the small batch below must flush on its deadline and complete while the
-  // oversized batch is still running on the other lane.
+  // the small batch below must flush at once to the parked lane and
+  // complete while the oversized batch is still running on the other lane.
+  // The oversized batch is one morsel, so at most one lane runs it and the
+  // other always parks. The long window makes that park, not the timer,
+  // the only way the small batch can flush in time: on an oversubscribed
+  // runner a 1 ms window could expire before the lane gets to park.
   ServerOptions options;
   options.lanes = 2;
   options.max_batch_size = 4;
-  options.max_batch_delay_ms = 1.0;
+  options.max_batch_delay_ms = 1000.0;
   QueryServer server(db(), index_.get(), options);
 
   // One oversized batch: heavy Monte-Carlo work, hundreds of milliseconds.
@@ -540,8 +544,8 @@ TEST_F(ServerTest, OversizedBatchDoesNotStallSmallBatchFlush) {
   server.Stop();
   const ServerStats stats = server.Stats();
   EXPECT_EQ(stats.completed, 5u);
-  EXPECT_EQ(stats.flush_full, 1u);      // the oversized batch
-  EXPECT_GE(stats.flush_deadline, 1u);  // the small one, on time
+  EXPECT_EQ(stats.flush_full, 1u);  // the oversized batch
+  EXPECT_GE(stats.flush_idle, 1u);  // the small one, at once to the idle lane
   // The regression is asserted through the server's own clocks, not through
   // instantaneous future polling — robust against the thread scheduling of
   // an oversubscribed sanitizer CI runner. On the pre-lane inline
@@ -558,6 +562,76 @@ TEST_F(ServerTest, OversizedBatchDoesNotStallSmallBatchFlush) {
   // And the small request (the fastest end-to-end, hence min()) completed
   // well inside the oversized batch's execution window.
   EXPECT_LT(stats.latency_micros.min(), max_exec / 2.0);
+}
+
+TEST_F(ServerTest, IdleLanesFlushAtOnce) {
+  // Work-conserving batching: while a lane is parked, a request flushes the
+  // moment it arrives instead of waiting out the batch window. Each spec is
+  // submitted only after the previous one resolved, so a lane is always
+  // parked: every batch flushes as "idle", none by the 500 ms window.
+  const std::vector<QuerySpec> specs = MakeSpecs(6);
+  QuerySession reference(db().Snapshot(), index_.get());
+  const std::vector<QueryOutcome> expected = reference.RunAll(specs);
+
+  ServerOptions options;
+  options.lanes = 2;
+  options.max_batch_delay_ms = 500.0;
+  QueryServer server(db(), index_.get(), options);
+  for (size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_TRUE(SameOutcome(server.Submit(specs[i]).get(), expected[i]))
+        << "spec " << i;
+  }
+  server.Stop();
+  const ServerStats stats = server.Stats();
+  EXPECT_EQ(stats.batches, specs.size());
+  EXPECT_EQ(stats.flush_idle, specs.size());
+  EXPECT_EQ(stats.flush_deadline, 0u);
+  // Holding every batch for the window would put each queue stage, and so
+  // each latency, at >= 500 ms. The queue stage is microseconds here; the
+  // latency bound leaves room for the session build of a sanitizer build.
+  EXPECT_LT(stats.queue_micros.max(), 50e3);
+  EXPECT_LT(stats.latency_micros.max(), 500e3);
+}
+
+TEST_F(ServerTest, BusyLanesStillCoalesce) {
+  // The other half of the rule: while every lane is busy the batch is held,
+  // so requests arriving meanwhile coalesce. The single lane runs one heavy
+  // spec (hundreds of milliseconds); the small specs submitted while it
+  // runs must flush together as one batch.
+  QuerySpec heavy = MakeSpecs(1)[0];
+  heavy.kind = QueryKind::kForall;
+  heavy.T = T_;
+  heavy.backend = ExecutorKind::kMonteCarlo;
+  heavy.mc.num_worlds = 50000;
+  std::vector<QuerySpec> specs = {heavy};
+  for (const QuerySpec& spec : MakeSpecs(5)) specs.push_back(spec);
+  QuerySession reference(db().Snapshot(), index_.get());
+  const std::vector<QueryOutcome> expected = reference.RunAll(specs);
+
+  ServerOptions options;
+  options.lanes = 1;
+  options.max_batch_size = 64;
+  options.max_batch_delay_ms = 1000.0;
+  QueryServer server(db(), index_.get(), options);
+  std::vector<std::future<QueryOutcome>> futures;
+  futures.push_back(server.Submit(specs[0]));
+  // The lane counts a group as adopted under the server mutex, after it
+  // stopped being parked: from then on it is busy with the heavy spec.
+  while (server.Stats().lanes[0].batches == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (size_t i = 1; i < specs.size(); ++i) {
+    futures.push_back(server.Submit(specs[i]));
+  }
+  for (size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_TRUE(SameOutcome(futures[i].get(), expected[i])) << "spec " << i;
+  }
+  server.Stop();
+  const ServerStats stats = server.Stats();
+  EXPECT_EQ(stats.completed, specs.size());
+  EXPECT_EQ(stats.batches, 2u);  // the heavy spec, then all small ones
+  EXPECT_EQ(stats.batches, stats.flush_full + stats.flush_deadline +
+                               stats.flush_idle + stats.flush_drain);
 }
 
 TEST_F(ServerTest, ServerRejectsWhenAdmissionQueueIsFull) {
@@ -713,6 +787,7 @@ TEST_F(ServerTest, StatsRenderAsJson) {
         "\"rejected_queue_full\":0", "\"rejected_shed\":0",
         "\"rejected_draining\":0", "\"expired_in_queue\":0",
         "\"expired_on_lane\":0", "\"degraded_requests\":0",
+        "\"flush_idle\":",
         "\"overload_regime\":", "\"session_build_failures\":0", "\"batches\":",
         "\"cache_misses\":", "\"cache_busy_misses\":",
         "\"cache_shared_joins\":", "\"latency_us\":",

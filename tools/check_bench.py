@@ -133,7 +133,9 @@ CHECKS = {
     },
 }
 
-# Workload identity: these must be byte-equal or the comparison is void.
+# Workload identity and hardware shape: these must be byte-equal or the
+# comparison is void. A key missing from either side is not compared, so a
+# baseline recorded before a key existed still gates until it is refreshed.
 CONFIG_KEYS = [
     "benchmark", "num_states", "num_objects", "num_worlds", "num_queries",
     "num_participants", "num_intervals", "interval_length", "threads",
@@ -143,6 +145,7 @@ CONFIG_KEYS = [
     "writes", "write_interval_us", "compaction_interval_ms",
     "pool", "queue_capacity", "deadline_ms", "seconds_per_point",
     "num_multiples", "max_multiple", "max_batch_delay_ms",
+    "hw_threads", "simd",
 ]
 
 
